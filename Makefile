@@ -76,14 +76,19 @@ sweep:
 sweep-fast:
 	$(GO) run ./cmd/gesweep -duration 60 -out results-fast
 
+# Runs every fuzz target for 30 s. -fuzz takes a regexp and refuses to run
+# when it matches more than one target, so each pattern is anchored.
 fuzz:
-	$(GO) test -fuzz FuzzLongestFirst -fuzztime 30s ./internal/cut/
-	$(GO) test -fuzz FuzzWaterFill -fuzztime 30s ./internal/dist/
-	$(GO) test -fuzz FuzzReadTrace -fuzztime 30s ./internal/workload/
-	$(GO) test -fuzz FuzzGenerate -fuzztime 30s ./internal/faults/
-	$(GO) test -fuzz FuzzGenerateCluster -fuzztime 30s ./internal/faults/
-	$(GO) test -fuzz FuzzCompareShed -fuzztime 30s ./internal/sched/
-	$(GO) test -fuzz FuzzPlanMonotone -fuzztime 30s ./internal/governor/
+	$(GO) test -fuzz '^FuzzLongestFirst$$' -fuzztime 30s ./internal/cut/
+	$(GO) test -fuzz '^FuzzWaterFill$$' -fuzztime 30s ./internal/dist/
+	$(GO) test -fuzz '^FuzzRectifyDiscrete$$' -fuzztime 30s ./internal/dist/
+	$(GO) test -fuzz '^FuzzReadTrace$$' -fuzztime 30s ./internal/workload/
+	$(GO) test -fuzz '^FuzzGenerate$$' -fuzztime 30s ./internal/faults/
+	$(GO) test -fuzz '^FuzzGenerateCluster$$' -fuzztime 30s ./internal/faults/
+	$(GO) test -fuzz '^FuzzCompareShed$$' -fuzztime 30s ./internal/sched/
+	$(GO) test -fuzz '^FuzzPlanMonotone$$' -fuzztime 30s ./internal/governor/
+	$(GO) test -fuzz '^FuzzKernelVsReference$$' -fuzztime 30s ./internal/sim/
+	$(GO) test -fuzz '^FuzzAllocateEDFVsBisect$$' -fuzztime 30s ./internal/qopt/
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

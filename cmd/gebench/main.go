@@ -24,8 +24,10 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -138,17 +140,10 @@ func load(path string) (File, error) {
 	return f, nil
 }
 
-func check(baselinePath, candidatePath string, tolerance float64) int {
-	base, err := load(baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gebench:", err)
-		return 2
-	}
-	cand, err := load(candidatePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gebench:", err)
-		return 2
-	}
+// check gates cand against base, writing one line per benchmark to w, and
+// returns the exit status: 0 when every shared benchmark is within
+// tolerance, 1 when any regressed.
+func check(w io.Writer, base, cand File, tolerance float64) int {
 	names := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
 		names = append(names, name)
@@ -159,7 +154,7 @@ func check(baselinePath, candidatePath string, tolerance float64) int {
 		b := base.Benchmarks[name]
 		c, ok := cand.Benchmarks[name]
 		if !ok {
-			fmt.Printf("SKIP  %-28s not in candidate\n", name)
+			fmt.Fprintf(w, "SKIP  %-28s not in candidate\n", name)
 			continue
 		}
 		status := "ok   "
@@ -175,67 +170,89 @@ func check(baselinePath, candidatePath string, tolerance float64) int {
 			status = "FAIL "
 			failures++
 		}
-		fmt.Printf("%s %-28s ns/op %10.4g (base %10.4g)  allocs %4g (base %4g)",
+		fmt.Fprintf(w, "%s %-28s ns/op %10.4g (base %10.4g)  allocs %4g (base %4g)",
 			status, name, c.NsPerOp, b.NsPerOp, c.AllocsPerOp, b.AllocsPerOp)
 		if c.EventsPerSec > 0 {
-			fmt.Printf("  %.3g events/sec", c.EventsPerSec)
+			fmt.Fprintf(w, "  %.3g events/sec", c.EventsPerSec)
 		}
-		fmt.Println()
-		for _, w := range why {
-			fmt.Printf("      %s\n", w)
+		fmt.Fprintln(w)
+		for _, reason := range why {
+			fmt.Fprintf(w, "      %s\n", reason)
 		}
 	}
 	for name := range cand.Benchmarks {
 		if _, ok := base.Benchmarks[name]; !ok {
-			fmt.Printf("NEW   %-28s not in baseline (not gated)\n", name)
+			fmt.Fprintf(w, "NEW   %-28s not in baseline (not gated)\n", name)
 		}
 	}
 	if failures > 0 {
-		fmt.Printf("gebench: %d benchmark(s) regressed beyond tolerance\n", failures)
+		fmt.Fprintf(w, "gebench: %d benchmark(s) regressed beyond tolerance\n", failures)
 		return 1
 	}
-	fmt.Println("gebench: all benchmarks within tolerance")
+	fmt.Fprintln(w, "gebench: all benchmarks within tolerance")
 	return 0
 }
 
 func main() {
-	doCheck := flag.Bool("check", false, "gate a candidate JSON against a baseline JSON")
-	baseline := flag.String("baseline", "BENCH_BASELINE.json", "baseline JSON (check mode)")
-	candidate := flag.String("candidate", "", "candidate JSON (check mode)")
-	tolerance := flag.Float64("tolerance", 0.15, "allowed fractional ns/op growth (check mode)")
-	note := flag.String("note", "", "free-form note embedded in the emitted JSON (parse mode)")
-	mergePrev := flag.String("merge-previous", "",
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, does the work and returns the
+// exit status (2 for usage and I/O errors).
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gebench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	doCheck := fs.Bool("check", false, "gate a candidate JSON against a baseline JSON")
+	baseline := fs.String("baseline", "BENCH_BASELINE.json", "baseline JSON (check mode)")
+	candidate := fs.String("candidate", "", "candidate JSON (check mode)")
+	tolerance := fs.Float64("tolerance", 0.15, "allowed fractional ns/op growth (check mode)")
+	note := fs.String("note", "", "free-form note embedded in the emitted JSON (parse mode)")
+	mergePrev := fs.String("merge-previous", "",
 		"carry the \"previous\" section of this JSON file into the output (parse mode)")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "gebench:", err)
+		return 2
+	}
 
 	if *doCheck {
 		if *candidate == "" {
-			fmt.Fprintln(os.Stderr, "gebench: -check needs -candidate")
-			os.Exit(2)
+			return fail(fmt.Errorf("-check needs -candidate"))
 		}
-		os.Exit(check(*baseline, *candidate, *tolerance))
+		base, err := load(*baseline)
+		if err != nil {
+			return fail(err)
+		}
+		cand, err := load(*candidate)
+		if err != nil {
+			return fail(err)
+		}
+		return check(stdout, base, cand, *tolerance)
 	}
 
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	results, err := parse(sc)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gebench:", err)
-		os.Exit(2)
+		return fail(err)
 	}
 	out := File{Note: *note, Benchmarks: results}
 	if *mergePrev != "" {
 		prev, err := load(*mergePrev)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "gebench:", err)
-			os.Exit(2)
+			return fail(err)
 		}
 		out.Previous = prev.Previous
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(out); err != nil {
-		fmt.Fprintln(os.Stderr, "gebench:", err)
-		os.Exit(2)
+		return fail(err)
 	}
+	return 0
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Capture the hot-path benchmark baseline: run the event-kernel
-# micro-benchmarks, the end-to-end quantum benchmarks, and the fleet
-# dispatch/chaos benchmarks COUNT times each,
+# micro-benchmarks, the Quality-OPT layer benchmark, the end-to-end quantum
+# benchmarks, and the fleet dispatch/chaos benchmarks COUNT times each,
 # fold them to best-observation JSON with cmd/gebench, and write OUT
 # (BENCH_BASELINE.json by default — the committed baseline `make
 # bench-check` and the CI bench job gate against).
@@ -19,6 +19,9 @@ trap 'rm -rf "$TMP"' EXIT
 go test -run '^$' -bench 'BenchmarkKernel' -benchmem \
     -benchtime "$BENCHTIME" -count "$COUNT" ./internal/sim/ \
     | tee "$TMP/bench.txt"
+go test -run '^$' -bench 'BenchmarkAllocateEDFDeep' -benchmem \
+    -benchtime "$BENCHTIME" -count "$COUNT" ./internal/qopt/ \
+    | tee -a "$TMP/bench.txt"
 go test -run '^$' -bench 'BenchmarkQuantum' -benchmem \
     -benchtime "$BENCHTIME" -count "$COUNT" . \
     | tee -a "$TMP/bench.txt"
